@@ -16,10 +16,9 @@ measurement to ``BENCH_kernel.json`` for CI regression tracking:
   (append_cells), the forwarding sub-phases ``drain`` / ``commit`` /
   ``repair`` (``forward`` keeps the residual glue), and ``stats``
   (ledger folds), reported as ms/slot each — a regression names the
-  guilty kernel, not just "forwarding got slower".
-- **batch sweep**: the vectorized engine re-timed with the slot-batched
-  driver collapsed (``slot_batch=1``) next to the default (``"auto"``),
-  stamping what driver batching alone is worth at each N.
+  guilty kernel, not just "forwarding got slower".  The profiler does
+  not change which code runs (the engine has one per-slot driver body),
+  so the breakdown describes the shipped, unprofiled path.
 - **numba**: when numba is installed, ``SimConfig(kernels="numba")`` is
   timed and reported separately (never gated — CI images may lack it);
   its report must equal the numpy-path report bit-for-bit.
@@ -96,8 +95,8 @@ def _timed_run(schedule, router, config, flows, slots, repeats=2):
 
 
 def _phase_breakdown(schedule, router, flows, slots):
-    """Per-phase ms/slot of the fused engine (profiler-only hub, so the
-    engine still runs its fastest drain tiers)."""
+    """Per-phase ms/slot of the fused engine (profiler-only hub: no
+    event consumer, so the engine runs exactly its unprofiled path)."""
     profiler = PhaseProfiler()
     sim = SlotSimulator(
         schedule,
@@ -129,15 +128,6 @@ def test_kernel_throughput(report, smoke):
         )
         assert vec_report == ref_report, "fused engine diverged from reference"
         speedup = ref_s / vec_s
-        # Batch sweep: the same engine with the slot-batched driver off.
-        unbatched_s, unbatched_report = _timed_run(
-            schedule,
-            router,
-            SimConfig(engine="vectorized", slot_batch=1),
-            flows,
-            slots,
-        )
-        assert unbatched_report == ref_report, "unbatched driver diverged"
         numba_s = numba_speedup = None
         if HAVE_NUMBA:
             numba_s, numba_report = _timed_run(
@@ -163,11 +153,6 @@ def test_kernel_throughput(report, smoke):
                 "numba_seconds": round(numba_s, 4) if numba_s else None,
                 "numba_speedup": numba_speedup,
                 "phase_ms_per_slot": phases,
-                "batch_sweep": {
-                    "auto_slots_per_s": round(slots / vec_s, 1),
-                    "slot_batch_1_slots_per_s": round(slots / unbatched_s, 1),
-                    "batching_gain": round(unbatched_s / vec_s, 2),
-                },
             }
         )
         gate = None if smoke or num_nodes < 512 else SPEEDUP_FLOOR
@@ -177,7 +162,6 @@ def test_kernel_throughput(report, smoke):
             f"speedup {speedup:>6.2f}x"
             + (f" (gate >= {gate:.0f}x)" if gate else "")
             + (f"   numba {numba_speedup:.2f}x" if numba_speedup else "")
-            + f"   batching {unbatched_s / vec_s:.2f}x"
         )
 
     payload = {

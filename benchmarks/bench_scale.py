@@ -66,8 +66,10 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 LOCALITY = 0.56
 LOAD = 0.30
 
-#: Warm slots/s floor at the paper's N=4096 rung (~1.5x the pre-batched
-#: driver's ~210 slots/s; the batched driver measures ~360+ warm here).
+#: Warm slots/s floor at the paper's N=4096 rung (~1.5x the ~210 slots/s
+#: measured before VOQ-cube pooling and the schedule cache).  The
+#: per-slot driver is close to it on a shared 2-vCPU host: see
+#: EXPERIMENTS.md "Paper-scale runs" for the measured margin.
 SCALE_FLOOR_SLOTS_PER_S = 315.0
 #: Minimum warm (mmap hit) over cold (build + store) speedup for the
 #: compiled-schedule cache at N=4096.
@@ -285,7 +287,7 @@ def test_scale_memory_and_throughput(report, smoke):
             assert entry["slots_per_s"] >= entry["slots_per_s_floor"], (
                 f"N={entry['num_nodes']}: warm {entry['slots_per_s']} slots/s "
                 f"under the {entry['slots_per_s_floor']:.0f} slots/s floor — "
-                f"a slot-batch driver or kernel regression at paper scale"
+                f"a driver or kernel regression at paper scale"
             )
     assert sched_cache_result is not None, "paper-scale rung missing"
     assert sched_cache_result["speedup"] >= SCHED_CACHE_MIN_SPEEDUP, (

@@ -207,15 +207,13 @@ def config_digest(config) -> str:
 
     The telemetry hub is excluded — it is an observer object, not a
     result-relevant knob, and its collector set is verified separately
-    when the hub state is restored.  ``slot_batch`` is excluded too:
-    driver batching is bit-exact at every setting, so a checkpoint
-    written at one batch span must restore under any other.
+    when the hub state is restored.
     """
     import dataclasses
 
     fields = {}
     for field in dataclasses.fields(config):
-        if field.name in ("telemetry", "slot_batch"):
+        if field.name == "telemetry":
             continue
         fields[field.name] = getattr(config, field.name)
     return hashlib.sha256(

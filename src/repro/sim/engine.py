@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import CheckpointError, SimulationError
 from ..routing.base import Router
@@ -409,20 +409,6 @@ class SimConfig:
         RNG draws and results are bit-identical for any chunk size).
         The default keeps refill overhead negligible; tests force tiny
         chunks to exercise boundary crossings.
-    slot_batch:
-        Vectorized-engine driver batching: advance up to this many slots
-        per Python-level driver iteration (``"auto"`` picks the default
-        span, an int pins it, ``1`` disables batching).  Purely a
-        performance knob — results, traces, telemetry and checkpoints
-        are bit-identical at every setting, and the batch span collapses
-        to one slot wherever per-slot observation is required (telemetry
-        hub, tracer, invariant checker, windowed injection) or a batch
-        would cross a segment stop, a ``FailureTimeline`` edge, the
-        arrival horizon, or a presampling chunk boundary — so
-        checkpoints, schedule swaps and failure masks still land on
-        exact slots.  Excluded from the checkpoint config digest (like
-        ``telemetry``): a checkpoint written at one setting restores
-        under any other.
     """
 
     cells_per_circuit: int = 1
@@ -437,7 +423,6 @@ class SimConfig:
     check_invariants: bool = False
     telemetry: Optional["TelemetryHub"] = None
     presample_chunk_cells: int = 65536
-    slot_batch: Union[int, str] = "auto"
 
     def __post_init__(self) -> None:
         if self.engine not in ("reference", "vectorized"):
@@ -466,8 +451,6 @@ class SimConfig:
                 self.classify_fct_threshold_cells, "classify_fct_threshold_cells"
             )
         check_positive_int(self.presample_chunk_cells, "presample_chunk_cells")
-        if self.slot_batch != "auto":
-            check_positive_int(self.slot_batch, "slot_batch")
 
     @property
     def report_threshold_cells(self) -> int:
@@ -494,8 +477,8 @@ def profiled_runs(profiler):
     accumulates across every run inside the context, so one sink
     captures a whole multi-point CLI invocation.  Results stay
     bit-identical — the profiler is excluded from telemetry snapshots
-    and report state; only the slot-batched driver collapses to
-    per-slot stepping, which is behavior-invariant by contract.
+    and report state, and it never changes which code path the slot
+    loop takes, so the timings describe the unprofiled run.
     Contexts nest; each restores the previous sink on exit.
     """
     global _PROFILE_SINK

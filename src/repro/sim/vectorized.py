@@ -45,6 +45,11 @@ replayed through the exact sequential kernel
 (:func:`repro.sim.kernels.drain_plane_seq`, also the optional
 ``SimConfig(kernels="numba")`` njit path).  All paths are bit-exact.
 
+The driver (:meth:`VectorizedSession._advance`) has exactly one
+per-slot body.  Attaching a profiler-only telemetry hub does not
+change which code runs, so a :class:`repro.sim.telemetry.PhaseProfiler`
+breakdown describes the unobserved engine.
+
 **Exactness contract.**  Given the same (schedule, router, config, rng
 seed, workload), the vectorized engine reproduces the reference engine's
 :class:`repro.sim.metrics.SimReport`,
@@ -65,7 +70,6 @@ remains the reference implementation and the default.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,7 +86,6 @@ from .kernels import (
     _EMPTY32,
     append_cells,
     commit_pops,
-    get_batch_kernel,
     get_seq_kernel,
     walk_candidates,
 )
@@ -90,6 +93,10 @@ from .metrics import SimReport
 from .network import LinkedVoqState
 
 __all__ = ["VectorizedEngine", "run_replicas"]
+
+#: Drains whose deliveries the slot loop buffers before folding them into
+#: the per-flow ledgers (see ``VectorizedSession._fold_deliveries``).
+_FOLD_DRAINS = 64
 
 
 class VectorizedEngine:
@@ -287,6 +294,7 @@ class VectorizedSession(SimSession):
         self._injected = 0
         self._partial_flows = 0  # flows mid-injection (windowed drain criterion)
         self._slot_pairs: List = []  # (u, v) arrays appended this slot
+        self._unfolded: List = []  # (slot, delivered cids) not yet in the ledgers
 
         # --- Path presampling -------------------------------------------
         # The reference engine touches the RNG only when sampling paths:
@@ -375,28 +383,6 @@ class VectorizedSession(SimSession):
         self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
         self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
         self._out_got = np.zeros(num_nodes, dtype=np.int64)
-
-        # --- Slot batching ---------------------------------------------
-        # The driver advances up to _batch_cap slots per outer iteration
-        # when no per-slot observer is attached (telemetry hub incl.
-        # profiler, tracer, invariant checker) and injection is block
-        # mode; _batch_span further collapses each batch at segment
-        # stops, failure edges, the arrival horizon and chunk
-        # boundaries.  Results are bit-identical at every cap.
-        sb = config.slot_batch
-        cap = 64 if sb == "auto" else int(sb)
-        if (
-            hub is not None
-            or checker is not None
-            or tracer is not None
-            or window is not None
-        ):
-            cap = 1
-        self._batch_cap = cap
-        # kernels="numba" drives whole batches through the fused
-        # nopython driver kernel; the numpy mode keeps the vectorized
-        # per-plane walk and batches only the Python driver around it.
-        self._batch_kernel = get_batch_kernel(True) if self._force_seq else None
 
     def _install_schedule(self, new_schedule: CircuitSchedule) -> None:
         # Everything slot-periodic is derived from the schedule and must
@@ -1132,66 +1118,41 @@ class VectorizedSession(SimSession):
             if rec_tx is not None:
                 rec_tx(slot, plane, src_l[i], dst_l[i], count)
 
-    def _account_deliveries_batch(self, cids: np.ndarray, slots: np.ndarray) -> None:
-        """Fold a whole batch's deliveries into the per-flow ledgers.
+    def _fold_deliveries(self) -> None:
+        """Fold the unfolded (slot, delivered cids) drains into the
+        per-flow ledgers.
 
-        Equivalent to calling :meth:`_account_deliveries` once per
-        (slot, plane) with that drain's deliveries: counts and hop
-        totals are additive, and a flow's completion slot is the slot
-        of the delivery that made its count reach its size — located
-        here as the k-th of the flow's in-batch deliveries (the stable
-        sort by flow preserves delivery order, which is
-        slot-ascending).
+        Equivalent to folding each drain as it happens: counts and hop
+        totals are additive, and a flow's completion slot is the slot of
+        the delivery that made its count reach its size — the k-th of
+        the flow's unfolded deliveries (the stable sort by flow keeps
+        delivery order, which is slot-ascending).  Nothing reads the
+        ledgers inside the slot loop, so ``_advance`` folds once per
+        ``_FOLD_DRAINS`` drains and at its exit rather than paying the
+        numpy call overhead on every drain.
         """
+        unfolded = self._unfolded
+        if not unfolded:
+            return
+        cids = np.concatenate([c for _, c in unfolded])
+        slots = np.repeat(
+            np.asarray([s for s, _ in unfolded], dtype=np.int64),
+            [c.size for _, c in unfolded],
+        )
+        unfolded.clear()
         fids = self._rfid[cids]
         hops = self._rowlen[self._ridx[cids]].astype(np.int64) - 1
         uniq, inverse = np.unique(fids, return_inverse=True)
-        counts = np.bincount(inverse)
         old = self._fdcount[uniq]
-        new = old + counts
+        new = old + np.bincount(inverse)
         self._fdcount[uniq] = new
         self._fhoptot[uniq] += np.bincount(inverse, weights=hops).astype(np.int64)
-        compm = new == self._fsizes[uniq]
-        if np.any(compm):
+        done = new == self._fsizes[uniq]
+        if done.any():
             order = np.argsort(fids, kind="stable")
-            starts = np.searchsorted(fids[order], uniq[compm])
-            kth = self._fsizes[uniq[compm]] - old[compm] - 1
-            self._fcompletion[uniq[compm]] = slots[order][starts + kth]
-
-    def _batch_span(self, slot: int, stop: Optional[int]) -> int:
-        """Largest clean batch span starting at *slot*: bounded by the
-        batch cap, the segment stop, the arrival horizon, the next
-        failure edge, and the presampled chunk's remaining arrivals —
-        so every boundary-sensitive slot (checkpoint, schedule swap,
-        failure mask, chunk refill, drain phase) is handled by the
-        exact per-slot path."""
-        hi = slot + self._batch_cap
-        if hi > self.duration_slots:
-            hi = self.duration_slots
-        if stop is not None and stop < hi:
-            hi = stop
-        timeline = self._timeline
-        if timeline is not None:
-            edge = timeline.next_affected(slot)
-            if edge is not None and edge < hi:
-                hi = edge
-        if hi - slot < 2:
-            return hi - slot
-        # Every arrival in the span must already be presampled; the
-        # per-slot path handles the chunk-refill crossing.
-        hi = bisect_right(self._slot_end, self._blk_hi, slot, hi)
-        return hi - slot
-
-    def _account_deliveries(self, slot: int, deliv_cids: np.ndarray) -> None:
-        """Fold one plane's deliveries into the per-flow ledgers."""
-        fids = self._rfid[deliv_cids]
-        hops = self._rowlen[self._ridx[deliv_cids]].astype(np.int64) - 1
-        uniq, inverse = np.unique(fids, return_inverse=True)
-        self._fdcount[uniq] += np.bincount(inverse)
-        self._fhoptot[uniq] += np.bincount(inverse, weights=hops).astype(np.int64)
-        completed = uniq[self._fdcount[uniq] == self._fsizes[uniq]]
-        if completed.size:
-            self._fcompletion[completed] = slot
+            starts = np.searchsorted(fids[order], uniq[done])
+            kth = self._fsizes[uniq[done]] - old[done] - 1
+            self._fcompletion[uniq[done]] = slots[order][starts + kth]
 
     # -- the slot loop ---------------------------------------------------------
 
@@ -1228,193 +1189,11 @@ class VectorizedSession(SimSession):
         partial_flows = self._partial_flows
         cursor = self._cursor
         slot = self.slot
-
-        batch_cap = self._batch_cap
-        batch_kernel = self._batch_kernel
-        num_nodes = self.num_nodes
-        budget = self._budget
+        unfolded = self._unfolded
 
         while True:
             if stop is not None and slot >= stop:
                 break
-
-            # -- batched fast path ------------------------------------
-            # Advance a whole clean span of slots per driver iteration;
-            # _batch_span collapses to <2 wherever a boundary-sensitive
-            # slot needs the exact per-slot body below.
-            if batch_cap > 1 and slot < duration_slots:
-                B = self._batch_span(slot, stop)
-                if B > 1 and batch_kernel is not None:
-                    # Whole batch inside the fused nopython driver
-                    # kernel (kernels="numba"): arrivals + every
-                    # plane's exact sequential drain for B slots in
-                    # one call.
-                    rows = np.arange(slot, slot + B) % period
-                    dest_block = np.ascontiguousarray(dest_table[rows])
-                    blk_base = self._blk_base
-                    ends = (
-                        np.asarray(slot_end[slot : slot + B], dtype=np.int64)
-                        - blk_base
-                    )
-                    cur0 = cursor - blk_base
-                    diffs = np.diff(np.concatenate(([cur0], ends)))
-                    plane_cap = num_planes * num_nodes * budget
-                    touch_cap = int(diffs.max(initial=0)) + plane_cap
-                    del_cap = B * plane_cap
-                    out_cids = np.empty(del_cap, dtype=np.int32)
-                    out_slotidx = np.empty(del_cap, dtype=np.int32)
-                    inj_counts = np.zeros(B, dtype=np.int64)
-                    del_counts = np.zeros(B, dtype=np.int64)
-                    slot_max = np.zeros(B, dtype=np.int32)
-                    touched_u = np.empty(touch_cap, dtype=np.int32)
-                    touched_v = np.empty(touch_cap, dtype=np.int32)
-                    occ0 = network.total_occupancy
-                    newcur, ndel = batch_kernel(
-                        network.head,
-                        network.tail,
-                        self._nxt,
-                        qlen,
-                        self._routes,
-                        self._rowlen,
-                        self._ridx,
-                        self._rhop,
-                        self._rfid,
-                        self._fwd_lane,
-                        dest_block,
-                        self._blk_cid,
-                        self._blk_u,
-                        self._blk_v,
-                        self._blk_lane,
-                        ends,
-                        cur0,
-                        budget,
-                        out_cids,
-                        out_slotidx,
-                        inj_counts,
-                        del_counts,
-                        slot_max,
-                        touched_u,
-                        touched_v,
-                    )
-                    ndel = int(ndel)
-                    cursor = int(newcur) + blk_base
-                    ninj = int(inj_counts.sum())
-                    network.credit(ninj)
-                    network.debit(ndel)
-                    injected_running += ninj
-                    delivered_running += ndel
-                    occupancy_sum += int(
-                        (occ0 + np.cumsum(inj_counts - del_counts)).sum()
-                    )
-                    mv = int(slot_max.max())
-                    if mv > max_voq:
-                        max_voq = mv
-                    first_meas = max(slot, measure_from)
-                    if first_meas < slot + B:
-                        window_delivered += int(
-                            del_counts[first_meas - slot :].sum()
-                        )
-                    if ndel:
-                        self._account_deliveries_batch(
-                            out_cids[:ndel],
-                            slot + out_slotidx[:ndel].astype(np.int64),
-                        )
-                    slot += B
-                    if slot >= duration_slots:
-                        # Same termination decision the per-slot body
-                        # makes at the horizon (a batch never spans
-                        # past duration_slots, so the max-drain bound
-                        # cannot trigger here).
-                        pending = (
-                            network.total_occupancy > 0 or partial_flows > 0
-                        )
-                        if not (config.drain and pending):
-                            self.horizon = slot
-                            self._done = True
-                            break
-                    continue
-                if B > 1:
-                    # Lean Python batch (numpy mode): the per-plane
-                    # vectorized drains stay per (slot, plane) — the
-                    # state dependency between slots is real — but the
-                    # driver glue (observer checks, timeline probes,
-                    # horizon checks, delivery folding) is paid once
-                    # per batch.
-                    dchunks: List = []  # (slot, delivered cids)
-                    for s in range(slot, slot + B):
-                        end = slot_end[s]
-                        if end > cursor:
-                            count = end - cursor
-                            b0 = cursor - self._blk_base
-                            e0 = end - self._blk_base
-                            pu, pv = append_cells(
-                                network.head,
-                                network.tail,
-                                self._nxt,
-                                qlen,
-                                self._blk_cid[b0:e0],
-                                self._blk_u[b0:e0],
-                                self._blk_v[b0:e0],
-                                self._blk_lane[b0:e0],
-                                network.num_lanes,
-                                num_nodes,
-                            )
-                            slot_pairs.append((pu, pv))
-                            network.credit(count)
-                            injected_running += count
-                            cursor = end
-                        row = s % period
-                        for plane in range(num_planes):
-                            srcs, dsts = schedule.active_circuits(row, plane)
-                            deliv = self._drain_plane(
-                                s, plane, srcs, dsts, dest_table[row, plane]
-                            )
-                            if deliv.size:
-                                network.debit(deliv.size)
-                                delivered_running += deliv.size
-                                if s >= measure_from:
-                                    window_delivered += deliv.size
-                                dchunks.append((s, deliv))
-                        occupancy_sum += network.total_occupancy
-                        if slot_pairs:
-                            if len(slot_pairs) == 1:
-                                gu, gv = slot_pairs[0]
-                            else:
-                                gu = np.concatenate([p[0] for p in slot_pairs])
-                                gv = np.concatenate([p[1] for p in slot_pairs])
-                            if gu.size:
-                                voq_now = int(qlen[gu, gv].max())
-                                if voq_now > max_voq:
-                                    max_voq = voq_now
-                            slot_pairs.clear()
-                    if dchunks:
-                        if len(dchunks) == 1:
-                            s0, c0 = dchunks[0]
-                            cids = c0
-                            slots_arr = np.full(c0.size, s0, dtype=np.int64)
-                        else:
-                            cids = np.concatenate([c for _, c in dchunks])
-                            slots_arr = np.repeat(
-                                np.asarray(
-                                    [s for s, _ in dchunks], dtype=np.int64
-                                ),
-                                [c.size for _, c in dchunks],
-                            )
-                        self._account_deliveries_batch(cids, slots_arr)
-                    slot += B
-                    if slot >= duration_slots:
-                        # Same termination decision the per-slot body
-                        # makes at the horizon (a batch never spans
-                        # past duration_slots, so the max-drain bound
-                        # cannot trigger here).
-                        pending = (
-                            network.total_occupancy > 0 or partial_flows > 0
-                        )
-                        if not (config.drain and pending):
-                            self.horizon = slot
-                            self._done = True
-                            break
-                    continue
 
             if prof is not None:
                 lap = perf_counter()
@@ -1489,7 +1268,7 @@ class VectorizedSession(SimSession):
                     delivered_running += deliv.size
                     if slot >= measure_from:
                         window_delivered += deliv.size
-                    self._account_deliveries(slot, deliv)
+                    unfolded.append((slot, deliv))
                     if window is not None:
                         deliv_chunks.append(self._rfid[deliv])
 
@@ -1542,6 +1321,8 @@ class VectorizedSession(SimSession):
                 tracer.record(slot, network, delivered_running)
             if rec_sample is not None:
                 rec_sample(slot, network, delivered_running)
+            if len(unfolded) >= _FOLD_DRAINS:
+                self._fold_deliveries()
             if prof is not None:
                 prof.lap("stats", lap)
 
@@ -1557,6 +1338,7 @@ class VectorizedSession(SimSession):
                     self._done = True
                     break
 
+        self._fold_deliveries()
         self._occupancy_sum = occupancy_sum
         self._max_voq = max_voq
         self._window_delivered = window_delivered

@@ -28,6 +28,7 @@ from repro.sim import (
 )
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
+    config_digest,
     decode_array,
     encode_array,
     read_checkpoint,
@@ -51,6 +52,9 @@ CONFIG_VARIANTS = [
     {"per_flow_paths": True},
     {"injection_window": 2},
     {"short_flow_threshold_cells": 3},
+    # Tiny presampling chunks: the save lands mid-chunk and the resumed
+    # run refills across chunk boundaries.
+    {"presample_chunk_cells": 3},
 ]
 
 
@@ -271,6 +275,24 @@ class TestRejection:
         other = make_flows(seed=6)
         with pytest.raises(CheckpointError, match="workload"):
             make_sim("vectorized").resume(path, other)
+
+    def test_config_digest_is_stable(self):
+        """Existing checkpoints must keep restoring: the digest of the
+        default config and of a non-default one are pinned to the
+        values older releases wrote."""
+        assert config_digest(SimConfig()) == (
+            "80c44bba06d6303075bf0f2c478025c1febf15fbd1e3961aff8472c863469088"
+        )
+        assert config_digest(
+            SimConfig(
+                engine="vectorized",
+                cells_per_circuit=2,
+                injection_window=4,
+                short_flow_threshold_cells=3,
+                presample_chunk_cells=7,
+                drain=True,
+            )
+        ) == "e4e5e6a69d4724d382fdb1d4e815510313fe34929318efba6f1a1b119d641dbe"
 
     def test_config_mismatch_rejected(self, tmp_path):
         path = self._saved(tmp_path)

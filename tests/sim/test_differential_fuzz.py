@@ -9,13 +9,10 @@ axis of the fused vectorized engine), failure timelines, and workloads —
 and asserts the reference and vectorized engines produce *identical*
 reports and traces.
 
-The ``slot_batch`` axis randomizes the vectorized driver's batch span
-(including ``"auto"``); lean examples sometimes drop the tracer too, so
-the batched fast path — which only engages with no per-slot observers —
-actually executes, and ``kernels="numba"`` examples sometimes force the
-sequential/batched kernel tier even where numba is absent (the plain
-Python build of the same kernel bodies), covering the batched driver
-kernel on every CI image.
+Lean examples sometimes drop the tracer too, and ``kernels="numba"``
+examples sometimes force the sequential kernel tier even where numba is
+absent (the plain Python build of the same kernel body), covering that
+tier on every CI image.
 
 Each example also draws a ``lean`` bit.  Instrumented examples carry the
 :class:`repro.sim.invariants.InvariantChecker` plus the full shipped
@@ -240,13 +237,11 @@ def scenarios(draw):
         short_flow_threshold_cells=draw(st.one_of(st.none(), st.just(2))),
         check_invariants=not lean,
         kernels=draw(st.sampled_from(["numpy", "numba"])),
-        slot_batch=draw(st.sampled_from([1, 2, 3, 7, 64, "auto"])),
     )
-    # A tracer is a per-slot observer, so traced runs collapse the batch
-    # span to 1; lean examples sometimes drop it to let the batched fast
-    # path execute.  kernels="numba" examples sometimes force the
-    # sequential/batched kernel tier even without numba installed (the
-    # plain Python build of the identical kernel bodies).
+    # Lean examples sometimes drop the tracer too, so a run with no
+    # observer at all is compared on its report alone.  kernels="numba"
+    # examples sometimes force the sequential kernel tier even without
+    # numba installed (the plain Python build of the identical body).
     traced = True if not lean else draw(st.booleans())
     force_kernels = config["kernels"] == "numba" and draw(st.booleans())
     duration = draw(st.integers(40, 120))

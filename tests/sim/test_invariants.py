@@ -1,15 +1,14 @@
 """InvariantChecker: clean runs stay silent, corrupted inputs raise."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvariantViolation
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.sim import (
-    ArrayVoqState,
     FailureTimeline,
     InvariantChecker,
+    LinkedVoqState,
     SimConfig,
     SimNetwork,
     SlotSimulator,
@@ -142,22 +141,23 @@ class TestConservationChecks:
         schedule = RoundRobinSchedule(6)
         checker = InvariantChecker(schedule, SimConfig())
         checker.end_slot(0, SimNetwork(6), injected_total=0, delivered_total=0)
-        checker.end_slot(1, ArrayVoqState(6), injected_total=4, delivered_total=4)
+        checker.end_slot(1, LinkedVoqState(6), injected_total=4, delivered_total=4)
 
     def test_array_negative_counter(self):
         schedule = RoundRobinSchedule(6)
         checker = InvariantChecker(schedule, SimConfig())
-        state = ArrayVoqState(6)
-        state.drain_circuits(
-            np.array([0]), np.array([1]), np.array([1], dtype=np.int64)
-        )
-        with pytest.raises(InvariantViolation):
-            checker.end_slot(0, state, injected_total=-1, delivered_total=0)
+        state = LinkedVoqState(6)
+        # Counters sum to the fabric total, but one VOQ went negative.
+        state.qlen[0, 1] = -1
+        state.qlen[1, 2] = 2
+        state.credit(1)
+        with pytest.raises(InvariantViolation, match="negative VOQ counter"):
+            checker.end_slot(0, state, injected_total=1, delivered_total=0)
 
     def test_array_counter_sum_mismatch(self):
         schedule = RoundRobinSchedule(6)
         checker = InvariantChecker(schedule, SimConfig())
-        state = ArrayVoqState(6)
+        state = LinkedVoqState(6)
         state.qlen[0, 1] = 2  # counters drift from the fabric total
         with pytest.raises(InvariantViolation, match="sum"):
             checker.end_slot(0, state, injected_total=0, delivered_total=0)

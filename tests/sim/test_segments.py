@@ -74,6 +74,7 @@ class TestSegmentedEquivalence:
             {"per_flow_paths": True},
             {"injection_window": 2},
             {"short_flow_threshold_cells": 3},
+            {"presample_chunk_cells": 3},
         ],
     )
     @pytest.mark.parametrize("engine", ENGINES)

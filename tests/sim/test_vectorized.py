@@ -11,7 +11,7 @@ from repro.analysis import optimal_q
 from repro.errors import SimulationError
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
-from repro.sim import ArrayVoqState, SimConfig, SlotSimulator, TraceRecorder
+from repro.sim import SimConfig, SlotSimulator, TraceRecorder
 from repro.sim.kernels import HAVE_NUMBA
 from repro.topology import CliqueLayout
 from repro.traffic import WEB_SEARCH, Workload, clustered_matrix, uniform_matrix
@@ -142,34 +142,6 @@ class TestEngineSelection:
 
     def test_default_kernels_is_numpy(self):
         assert SimConfig().kernels == "numpy"
-
-
-class TestArrayVoqState:
-    def test_counters_track_enqueues_and_deltas(self):
-        state = ArrayVoqState(4, num_lanes=2)
-        for cell, node, neighbor in [(0, 0, 1), (1, 0, 1), (2, 1, 2)]:
-            state.lanes(node, neighbor)[1].append(cell)
-        state.add_cells([0, 0, 1], [1, 1, 2])
-        assert state.total_occupancy == 3
-        assert state.queue_length(0, 1) == 2
-        assert state.queue_length(1, 2) == 1
-        assert state.max_voq_length() == 2
-        assert state.node_backlog(0) == 2
-        assert state.backlogs() == [2, 1, 0, 0]
-        # Drain one cell from (0, 1), forward it to (1, 2).
-        cell = state.lanes(0, 1)[1].popleft()
-        state.lanes(1, 2)[0].append(cell)
-        state.drain_circuits([0], [1], np.asarray([1]))
-        state.add_cells([1], [2])
-        assert state.total_occupancy == 3
-        assert state.queue_length(0, 1) == 1
-        assert state.queue_length(1, 2) == 2
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            ArrayVoqState(1)
-        with pytest.raises(SimulationError):
-            ArrayVoqState(4, num_lanes=0)
 
 
 class TestLinkedVoqState:
