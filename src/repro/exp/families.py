@@ -51,20 +51,12 @@ class Family:
     single pass and must return results bit-identical to ``run`` called
     per seed (the replica-batching contract).  ``version`` feeds the
     content hash.
-
-    The optional ``shared_payload(params)`` returns the named NumPy
-    arrays (presampled flow populations, compiled schedule tables) the
-    runner may post to workers once per config through
-    :mod:`repro.exp.shm` instead of letting every worker recompute
-    them.  The zero-copy contract: ``run``/``run_batch`` must produce
-    bit-identical results whether the payload is posted or absent.
     """
 
     name: str
     run: Callable[[dict, object], dict]
     run_batch: Optional[Callable[[dict, list], List[dict]]] = None
     version: int = 1
-    shared_payload: Optional[Callable[[dict], dict]] = None
 
 
 _REGISTRY: Dict[str, Family] = {}
@@ -75,7 +67,6 @@ def register_family(
     run: Callable[[dict, object], dict],
     run_batch: Optional[Callable[[dict, list], List[dict]]] = None,
     version: int = 1,
-    shared_payload: Optional[Callable[[dict], dict]] = None,
 ) -> Family:
     """Register (or replace) a family under *name*; returns it.
 
@@ -85,13 +76,7 @@ def register_family(
     time of its defining module (module top level), not inside a test
     body, unless the platform forks workers (Linux does).
     """
-    family = Family(
-        name=name,
-        run=run,
-        run_batch=run_batch,
-        version=version,
-        shared_payload=shared_payload,
-    )
+    family = Family(name=name, run=run, run_batch=run_batch, version=version)
     _REGISTRY[name] = family
     return family
 
@@ -316,57 +301,21 @@ def _run_oblivious_baseline(params: dict, seed) -> dict:
 
 
 def _sorn_sim_setup(params: dict):
-    """Shared construction for the ``sorn_sim`` family's two paths.
-
-    When the runner posted this config's payload through
-    :mod:`repro.exp.shm`, the presampled flow population and the
-    compiled destination table are adopted from shared memory instead
-    of being regenerated — bit-identical by the posting contract (the
-    parent built them with exactly this code).
-    """
+    """Shared construction for the ``sorn_sim`` family's two paths."""
     from ..analysis import optimal_q
     from ..traffic import FlowSizeDistribution, Workload
-    from . import shm
 
     n, nc, x = params["nodes"], params["cliques"], params["locality"]
     lay = factory.layout(n, nc)
     schedule = factory.sorn_schedule(n, nc, optimal_q(x))
     router = factory.sorn_router(n, nc)
-    payload = shm.active_payload()
-    if payload is not None and "dest_table" in payload:
-        schedule.adopt_dest_table(payload["dest_table"])
-    if payload is not None and "flows.flow_id" in payload:
-        flows = shm.arrays_to_flows(payload)
-    else:
-        matrix = factory.clustered(n, nc, x)
-        workload = Workload(
-            matrix,
-            FlowSizeDistribution.fixed(params["size_cells"]),
-            load=params["load"],
-        )
-        flows = workload.generate(params["slots"], rng=params["flow_seed"])
-    return lay, schedule, router, flows
-
-
-def _sorn_sim_shared_payload(params: dict) -> dict:
-    """``sorn_sim``'s posting hook: the presampled flow population plus
-    the compiled destination table, built with the same code the worker
-    would otherwise run (the zero-copy bit-exactness contract)."""
-    from ..analysis import optimal_q
-    from ..traffic import FlowSizeDistribution, Workload
-    from . import shm
-
-    n, nc, x = params["nodes"], params["cliques"], params["locality"]
-    schedule = factory.sorn_schedule(n, nc, optimal_q(x))
     workload = Workload(
         factory.clustered(n, nc, x),
         FlowSizeDistribution.fixed(params["size_cells"]),
         load=params["load"],
     )
     flows = workload.generate(params["slots"], rng=params["flow_seed"])
-    arrays = shm.flows_to_arrays(flows)
-    arrays["dest_table"] = schedule.dest_table()
-    return arrays
+    return lay, schedule, router, flows
 
 
 def _sorn_sim_hub(params: dict, schedule, lay):
@@ -601,10 +550,5 @@ register_family("fig2f_point", _run_fig2f_point)
 register_family("blast_radius", _run_blast_radius)
 register_family("fig_adaptive", _run_fig_adaptive)
 register_family("oblivious_baseline", _run_oblivious_baseline)
-register_family(
-    "sorn_sim",
-    _run_sorn_sim,
-    run_batch=_run_sorn_sim_batch,
-    shared_payload=_sorn_sim_shared_payload,
-)
+register_family("sorn_sim", _run_sorn_sim, run_batch=_run_sorn_sim_batch)
 register_family("frontier_point", _run_frontier_point)

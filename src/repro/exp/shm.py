@@ -1,223 +1,10 @@
-"""Zero-copy posting of sweep payloads via POSIX shared memory.
+"""Stub kept for one reader: ``perfbench/harness.py`` records
+``posting_seen()`` in its environment block.  Sweeps have no
+shared-memory transport, so it is always ``False``."""
 
-The sweep runner's task payloads are deliberately tiny — ``(family,
-params, seeds)`` — because families *recompute* their heavyweight inputs
-(presampled flow populations, compiled schedule tables) inside every
-worker.  That recomputation is pure per-worker overhead: the arrays are
-deterministic functions of the params, so W workers sweeping one config
-build W identical copies.
-
-This module lets the parent build them **once** and post the arrays
-through :mod:`multiprocessing.shared_memory`: workers attach to the
-segment by name and reconstruct NumPy views at zero copy cost — no
-pickling of array payloads, no per-worker regeneration, one physical
-copy in RAM regardless of worker count.  Three pieces:
-
-- :class:`SharedArrays` — the parent-side handle.  ``post()`` packs a
-  dict of named arrays into one shared segment; ``descriptor`` is the
-  tiny picklable address (segment name + per-array dtype/shape/offset)
-  the runner ships inside the task tuple; ``unlink()`` releases the
-  segment after the sweep settles.
-- :func:`attach` — the worker-side counterpart: maps the segment and
-  rebuilds read-only views.  Attached segments are unregistered from the
-  worker's ``resource_tracker`` (the parent owns the segment's
-  lifetime; the default tracker would otherwise unlink it — or warn —
-  when the first worker exits) and closed at interpreter exit.
-- The **active-payload slot** — a per-process stash the runner fills
-  before invoking a family and clears after.  Families that support
-  posting (``Family.shared_payload``) consult
-  :func:`active_payload` and use the posted arrays instead of
-  recomputing; with the slot empty they compute locally, so posting
-  on/off is behavior-invariant (and bit-identical, since the parent
-  builds the payload with the very code the worker would have run).
-
-Bit-exactness contract: ``attach(handle.descriptor)`` returns arrays
-byte-identical to the ones posted, and a family given its own
-``shared_payload(params)`` output must produce results identical to a
-local build — ``tests/exp/test_shm.py`` checks both, plus the
-merge-order invariance of posted parallel sweeps.
-"""
-
-from __future__ import annotations
-
-import atexit
-from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional
-
-import numpy as np
-
-from ..errors import SweepError
-from ..traffic import FlowSpec
-
-__all__ = [
-    "SharedArrays",
-    "attach",
-    "active_payload",
-    "set_active_payload",
-    "clear_active_payload",
-    "posting_seen",
-    "flows_to_arrays",
-    "arrays_to_flows",
-]
-
-
-class SharedArrays:
-    """A dict of named arrays packed into one shared-memory segment.
-
-    Create with :meth:`post`; ship :attr:`descriptor` (picklable, a few
-    hundred bytes) to workers; call :meth:`unlink` once every consumer
-    is done.  The parent keeps the segment mapped until then.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, descriptor: dict):
-        self._shm = shm
-        self.descriptor = descriptor
-
-    @classmethod
-    def post(cls, arrays: Dict[str, np.ndarray]) -> "SharedArrays":
-        """Pack *arrays* into a fresh shared segment and return a handle.
-
-        Arrays are laid out back to back at 64-byte alignment; the
-        descriptor records ``(dtype, shape, offset)`` per name so
-        :func:`attach` can rebuild exact views.
-        """
-        if not arrays:
-            raise SweepError("cannot post an empty array payload")
-        index = {}
-        offset = 0
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            offset = -(-offset // 64) * 64  # align each array
-            index[name] = (str(array.dtype), tuple(array.shape), offset)
-            offset += array.nbytes
-            arrays[name] = array
-        shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-        for name, array in arrays.items():
-            _, shape, start = index[name]
-            view = np.ndarray(shape, dtype=array.dtype, buffer=shm.buf, offset=start)
-            view[...] = array
-        descriptor = {"segment": shm.name, "arrays": index}
-        return cls(shm, descriptor)
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """Read-only views of the posted arrays (parent-side)."""
-        return _views(self._shm, self.descriptor)
-
-    def close(self) -> None:
-        """Unmap the parent's view (the segment itself stays)."""
-        try:
-            self._shm.close()
-        except OSError:
-            pass
-
-    def unlink(self) -> None:
-        """Release the segment.  Safe to call more than once."""
-        self.close()
-        try:
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass
-
-
-def _views(shm: shared_memory.SharedMemory, descriptor: dict) -> Dict[str, np.ndarray]:
-    out = {}
-    for name, (dtype, shape, offset) in descriptor["arrays"].items():
-        view = np.ndarray(
-            tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-        )
-        view.setflags(write=False)
-        out[name] = view
-    return out
-
-
-#: Worker-side attached segments, kept mapped until interpreter exit —
-#: the views handed to families alias this memory.
-_ATTACHED: List[shared_memory.SharedMemory] = []
-
-
-def _close_attached() -> None:
-    for shm in _ATTACHED:
-        try:
-            shm.close()
-        except OSError:
-            pass
-    _ATTACHED.clear()
-
-
-atexit.register(_close_attached)
-
-
-def attach(descriptor: dict) -> Dict[str, np.ndarray]:
-    """Map a posted segment and rebuild read-only array views.
-
-    The segment is unregistered from this process's resource tracker:
-    its lifetime belongs to the posting parent, and the tracker would
-    otherwise tear it down (or complain) when this process exits.
-    """
-    shm = shared_memory.SharedMemory(name=descriptor["segment"], create=False)
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-    except Exception:  # noqa: BLE001 - tracker internals differ across versions
-        pass
-    _ATTACHED.append(shm)
-    return _views(shm, descriptor)
-
-
-# ---------------------------------------------------------------------------
-# The active-payload slot
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Dict[str, np.ndarray]] = None
-_POSTING_SEEN = False
-
-
-def set_active_payload(arrays: Dict[str, np.ndarray]) -> None:
-    """Install posted arrays for the family call about to run."""
-    global _ACTIVE, _POSTING_SEEN
-    _ACTIVE = arrays
-    _POSTING_SEEN = True
-
-
-def active_payload() -> Optional[Dict[str, np.ndarray]]:
-    """The posted arrays for the current family call, or ``None``."""
-    return _ACTIVE
-
-
-def clear_active_payload() -> None:
-    """Drop the worker's active payload (inverse of
-    :func:`set_active_payload`); families fall back to local compute."""
-    global _ACTIVE
-    _ACTIVE = None
+__all__ = ["posting_seen"]
 
 
 def posting_seen() -> bool:
-    """Whether this process ever received a shared-memory payload
-    (surfaced by ``bench_environment()`` so benchmark records show
-    which transport fed the workers)."""
-    return _POSTING_SEEN
-
-
-# ---------------------------------------------------------------------------
-# Flow-population array codecs
-# ---------------------------------------------------------------------------
-
-_FLOW_FIELDS = ("flow_id", "src", "dst", "size_cells", "arrival_slot")
-
-
-def flows_to_arrays(flows) -> Dict[str, np.ndarray]:
-    """A flow population as five parallel int64 arrays (posting form)."""
-    return {
-        f"flows.{field}": np.array(
-            [getattr(flow, field) for flow in flows], dtype=np.int64
-        )
-        for field in _FLOW_FIELDS
-    }
-
-
-def arrays_to_flows(arrays: Dict[str, np.ndarray]) -> List[FlowSpec]:
-    """Rebuild the exact :class:`FlowSpec` list from its posting form."""
-    columns = [arrays[f"flows.{field}"] for field in _FLOW_FIELDS]
-    return [
-        FlowSpec(int(fid), int(src), int(dst), int(size), int(arrival))
-        for fid, src, dst, size, arrival in zip(*columns)
-    ]
+    """Whether a sweep posted inputs through shared memory: never."""
+    return False

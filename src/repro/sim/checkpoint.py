@@ -216,6 +216,9 @@ def config_digest(config) -> str:
         if field.name == "telemetry":
             continue
         fields[field.name] = getattr(config, field.name)
+    # SimConfig once had a ``kernels`` field whose only value in use was
+    # "numpy"; hashing that constant keeps older checkpoints restorable.
+    fields["kernels"] = "numpy"
     return hashlib.sha256(
         json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()

@@ -25,12 +25,13 @@ kernels over :class:`repro.sim.network.LinkedVoqState`:
 - :func:`commit_pops` applies a validated walk: heads scatter to the
   post-walk cursors, emptied lanes reset their tails, and the drained
   counts leave ``qlen`` — again via unique-pair indexing.
-- :func:`drain_plane_seq` is the exact sequential fallback (and the
-  optional numba path): the reference drain semantics — circuits in
-  source order, lane priority, immediate forwarding, same-plane
-  cascades — expressed over the flat int32 tables only, so the very
-  same function body compiles under ``numba.njit`` when numba is
-  installed and runs as plain Python when it is not.
+- :func:`drain_plane_seq` is the exact sequential fallback: the
+  reference drain semantics — circuits in source order, lane priority,
+  immediate forwarding, same-plane cascades — expressed over the flat
+  int32 tables only.  The engine replays a plane through it when a
+  same-slot cascade makes the optimistic walk inexact and the in-place
+  repair does not apply (``cells_per_circuit > 1``, or an event
+  consumer is attached).
 
 All kernels are allocation-conscious: scratch buffers (candidate
 matrices, pop/delivery staging) are preallocated once per session and
@@ -49,38 +50,26 @@ no page is touched until first use) instead of an eagerly written
 ``np.full(-1)``, which at N=4096 removes over a second of cold-start
 page-fault cost from every session construction.
 
-``SimConfig(kernels="numba")`` selects the njit-compiled sequential
-kernel for every plane; when numba is absent the engine falls back
-cleanly to the fused numpy path (``HAVE_NUMBA`` is the gate), producing
-identical results either way — the differential fuzz harness randomizes
-the ``kernels`` axis to enforce this.
-
 Every kernel here works on one slot (one plane, or one slot's arrival
 batch); the engine's Python driver calls them slot by slot.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
     "append_cells",
     "walk_candidates",
     "commit_pops",
     "drain_plane_seq",
-    "get_seq_kernel",
 ]
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the common case in CI images
-    numba = None
-    HAVE_NUMBA = False
+# Environment probe only; its one reader is perfbench/harness.py.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 _EMPTY32 = np.empty(0, dtype=np.int32)
 
@@ -236,10 +225,6 @@ def drain_plane_seq(
     the same-slot multi-hop cascade).  Records every popped cell id in
     pop order (``out_cids``), whether it delivered (``out_del``) and the
     per-circuit counts (``out_got``); returns the number popped.
-
-    Written against numba's nopython subset (flat arrays, scalar loops)
-    so the identical body is the njit kernel when numba is available and
-    the cascade fallback when it is not.
     """
     pos = 0
     num_circuits = srcs.shape[0]
@@ -285,21 +270,3 @@ def drain_plane_seq(
         out_got[i] = got
     return pos
 
-
-_seq_jit = None
-
-
-def get_seq_kernel(use_numba: bool):
-    """The sequential drain kernel for the requested mode.
-
-    ``use_numba=True`` returns (and lazily compiles, once per process)
-    the njit build of :func:`drain_plane_seq`; anything else — including
-    ``kernels="numba"`` on a machine without numba — returns the plain
-    Python function, which is semantically identical.
-    """
-    global _seq_jit
-    if use_numba and HAVE_NUMBA:  # pragma: no cover - needs numba
-        if _seq_jit is None:
-            _seq_jit = numba.njit(cache=True)(drain_plane_seq)
-        return _seq_jit
-    return drain_plane_seq

@@ -42,8 +42,7 @@ overwhelming majority — commit entirely in array code; cascade planes
 are either repaired in place (single-cell circuits with no event
 consumers: a tiny Python pass over exactly the affected circuits) or
 replayed through the exact sequential kernel
-(:func:`repro.sim.kernels.drain_plane_seq`, also the optional
-``SimConfig(kernels="numba")`` njit path).  All paths are bit-exact.
+(:func:`repro.sim.kernels.drain_plane_seq`).  All paths are bit-exact.
 
 The driver (:meth:`VectorizedSession._advance`) has exactly one
 per-slot body.  Attaching a profiler-only telemetry hub does not
@@ -82,11 +81,10 @@ from ..traffic.workload import FlowSpec
 from ..util import check_positive_int, ensure_rng
 from .engine import SimSession
 from .kernels import (
-    HAVE_NUMBA,
     _EMPTY32,
     append_cells,
     commit_pops,
-    get_seq_kernel,
+    drain_plane_seq,
     walk_candidates,
 )
 from .metrics import SimReport
@@ -172,8 +170,7 @@ class VectorizedSession(SimSession):
     few-element Python pass over exactly the affected circuits) or
     replays the whole plane through the exact sequential kernel
     (:func:`repro.sim.kernels.drain_plane_seq`).  All three paths are
-    bit-exact; ``SimConfig(kernels="numba")`` forces the sequential
-    kernel (njit-compiled when numba is installed) for every plane.
+    bit-exact.
     """
 
     _engine_name = "vectorized"
@@ -281,8 +278,6 @@ class VectorizedSession(SimSession):
             or self._rec_tx is not None
             or self._rec_del is not None
         )
-        self._force_seq = config.kernels == "numba" and HAVE_NUMBA
-        self._seq_kernel = get_seq_kernel(config.kernels == "numba")
 
         self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
         self._install_schedule(engine.schedule)
@@ -697,20 +692,13 @@ class VectorizedSession(SimSession):
         self._prof_attr += dt
         return now
 
-    def _drain_seq(
-        self, slot: int, plane: int, srcs, dsts, phase: str = "drain"
-    ) -> np.ndarray:
-        """Exact sequential drain of one plane (fallback / numba path).
-
-        *phase* names the profiler sub-phase this pass bills to:
-        ``"drain"`` when the sequential kernel is the chosen path
-        (``kernels="numba"``), ``"repair"`` when it replays a cascade
-        slot the vectorized walk had to abandon.
-        """
+    def _drain_seq(self, slot: int, plane: int, srcs, dsts) -> np.ndarray:
+        """Exact sequential drain of one plane: replays a cascade slot
+        the vectorized walk had to abandon (billed to ``"repair"``)."""
         prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
         state = self.network
-        npop = self._seq_kernel(
+        npop = drain_plane_seq(
             state.head,
             state.tail,
             self._nxt,
@@ -730,7 +718,7 @@ class VectorizedSession(SimSession):
         )
         if npop == 0:
             if prof is not None:
-                self._prof_add(phase, t0)
+                self._prof_add("repair", t0)
             return _EMPTY32
         popped = self._out_cids[:npop]
         delm = self._out_del[:npop].astype(bool)
@@ -746,19 +734,18 @@ class VectorizedSession(SimSession):
                 (self._routes[rows, hops], self._routes[rows, hops + 1])
             )
         if prof is not None:
-            self._prof_add(phase, t0)
+            self._prof_add("repair", t0)
         return popped[delm]
 
     def _drain_plane(self, slot: int, plane: int, srcs, dsts, dst_row) -> np.ndarray:
         """Drain one plane's active circuits; returns the delivered cell
         ids in exact delivery (circuit-major pop) order.
 
-        Dispatch layer: the sequential kernel when forced, otherwise the
-        vectorized walk over only the circuits whose VOQ pair is
-        nonempty — a paper-scale plane matches N circuits but usually
-        only a few dozen have queued cells, and every per-circuit
-        gather/scatter in the walk and commit scales with the circuit
-        count.  Filtering cannot change cascade-free semantics (a
+        Dispatch layer: the vectorized walk over only the circuits whose
+        VOQ pair is nonempty — a paper-scale plane matches N circuits
+        but usually only a few dozen have queued cells, and every
+        per-circuit gather/scatter in the walk and commit scales with
+        the circuit count.  Filtering cannot change cascade-free semantics (a
         circuit with an empty pair pops nothing and commits nothing);
         cascade detection still checks forwards against the *full*
         matching row, and any hit re-runs the full circuit set — a
@@ -767,8 +754,6 @@ class VectorizedSession(SimSession):
         """
         if srcs.shape[0] == 0:
             return _EMPTY32
-        if self._force_seq:
-            return self._drain_seq(slot, plane, srcs, dsts)
         live = self.network.qlen[srcs, dsts] > 0
         if live.all():
             return self._drain_vec(slot, plane, srcs, dsts, dst_row, srcs, dsts)
@@ -828,9 +813,7 @@ class VectorizedSession(SimSession):
                 if budget != 1 or self._emit:
                     if prof is not None:
                         self._prof_add("drain", t)
-                    return self._drain_seq(
-                        slot, plane, full_srcs, full_dsts, phase="repair"
-                    )
+                    return self._drain_seq(slot, plane, full_srcs, full_dsts)
                 # With budget == 1 the flat pop positions are circuit
                 # indices, so position comparisons are source-id
                 # comparisons and work identically on a filtered subset:

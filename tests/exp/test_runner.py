@@ -70,12 +70,28 @@ def _grid(family="t_square", n=6, a=3):
 
 class TestDeterministicMerge:
     def test_parallel_matches_serial(self):
-        points = _grid(n=8) + [SweepPoint("t_square", {"a": 5}, seed=2)]
+        # sorn_sim is a real family: a vectorized run with telemetry.
+        sorn = {
+            "nodes": 12,
+            "cliques": 3,
+            "locality": 0.56,
+            "size_cells": 3,
+            "load": 0.4,
+            "slots": 40,
+            "flow_seed": 7,
+            "engine": "vectorized",
+            "telemetry": True,
+        }
+        points = (
+            _grid(n=8)
+            + [SweepPoint("t_square", {"a": 5}, seed=2)]
+            + [SweepPoint("sorn_sim", sorn, seed=s) for s in range(3)]
+        )
         serial = SweepRunner(workers=0).run(points)
         parallel = SweepRunner(workers=3).run(points)
         assert parallel == serial
         assert serial[2] == {"value": 6, "seed": 2}
-        assert serial[-1] == {"value": 10, "seed": 2}
+        assert serial[8] == {"value": 10, "seed": 2}
 
     def test_batched_matches_unbatched(self):
         points = _grid(n=5)

@@ -1,164 +1,21 @@
-"""Zero-copy shared-memory posting: attach fidelity and bit-exact sweeps.
+"""Sweeps without a shared-memory transport.
 
-The posting contract has two halves.  Transport: arrays attached from a
-posted segment are byte-identical to the originals, read-only, and the
-segment's lifetime belongs to the poster.  Behavior: a sweep run with
-``shm_post=True`` merges bit-identically to the same sweep run serially
-or with posting off — the payload only replaces recomputation, never
-semantics.  Families registered here live at module scope so forked
-workers inherit them.
+Workers regenerate each config's flow arrays and schedule table
+themselves; nothing is posted through shared memory.  A parallel
+``sorn_sim`` sweep must therefore merge bit-identically to the same
+sweep run serially, and :func:`repro.exp.shm.posting_seen` (recorded by
+the perf harness) must report that no posting happened.
 """
 
-import numpy as np
-import pytest
-
-from repro.errors import SweepError
-from repro.exp import SweepPoint, SweepRunner, register_family
+from repro.exp import SweepPoint, SweepRunner
 from repro.exp import shm
-from repro.exp.families import _sorn_sim_shared_payload
-from repro.traffic import FlowSpec
-
-
-def _payload_echo(params, seed):
-    """Returns what it saw: the posted arrays' checksums, or 'local'."""
-    payload = shm.active_payload()
-    if payload is None:
-        return {"mode": "local", "value": params["a"] * seed}
-    return {
-        "mode": "posted",
-        "value": params["a"] * seed,
-        "names": sorted(payload),
-        "checksum": int(sum(int(a.sum()) for a in payload.values())),
-    }
-
-
-def _echo_payload_builder(params):
-    return {"grid": np.arange(12, dtype=np.int64) * params["a"]}
-
-
-def _sums_payload(params, seed):
-    """Result depends only on (params, seed) — posted or not."""
-    payload = shm.active_payload()
-    if payload is not None:
-        data = payload["data"]
-    else:
-        data = _data_for(params)
-    return {"total": int(data.sum()) + seed}
-
-
-def _data_for(params):
-    return np.arange(params["n"], dtype=np.int64) ** 2
-
-
-def _sums_builder(params):
-    return {"data": _data_for(params)}
-
-
-register_family("t_shm_echo", _payload_echo, shared_payload=_echo_payload_builder)
-register_family("t_shm_sums", _sums_payload, shared_payload=_sums_builder)
-
-
-class TestSharedArrays:
-    def test_roundtrip_is_byte_identical(self):
-        arrays = {
-            "a": np.arange(100, dtype=np.int64).reshape(10, 10),
-            "b": np.linspace(0.0, 1.0, 7),
-            "c": np.array([[1, 2], [3, 4]], dtype=np.int32),
-        }
-        handle = shm.SharedArrays.post(dict(arrays))
-        try:
-            got = shm.attach(handle.descriptor)
-            assert sorted(got) == sorted(arrays)
-            for name in arrays:
-                assert got[name].tobytes() == np.ascontiguousarray(
-                    arrays[name]
-                ).tobytes()
-                assert got[name].dtype == arrays[name].dtype
-                assert got[name].shape == arrays[name].shape
-                assert not got[name].flags.writeable
-        finally:
-            handle.unlink()
-
-    def test_parent_side_views_match(self):
-        handle = shm.SharedArrays.post({"x": np.arange(5)})
-        try:
-            assert handle.arrays()["x"].tolist() == [0, 1, 2, 3, 4]
-        finally:
-            handle.unlink()
-
-    def test_empty_payload_rejected(self):
-        with pytest.raises(SweepError):
-            shm.SharedArrays.post({})
-
-    def test_unlink_is_idempotent(self):
-        handle = shm.SharedArrays.post({"x": np.arange(3)})
-        handle.unlink()
-        handle.unlink()
-
-    def test_flow_codec_roundtrips_exactly(self):
-        flows = [
-            FlowSpec(i, i % 9, (i + 4) % 9, 1 + i % 5, i * 3) for i in range(40)
-        ]
-        assert shm.arrays_to_flows(shm.flows_to_arrays(flows)) == flows
-
-
-class TestPostedSweeps:
-    def test_workers_actually_receive_the_payload(self):
-        points = [SweepPoint("t_shm_echo", {"a": 2}, seed=s) for s in range(4)]
-        results = SweepRunner(workers=2, shm_post=True).run(points)
-        expected_checksum = int(_echo_payload_builder({"a": 2})["grid"].sum())
-        for seed, result in enumerate(results):
-            assert result["mode"] == "posted"
-            assert result["names"] == ["grid"]
-            assert result["checksum"] == expected_checksum
-            assert result["value"] == 2 * seed
-
-    def test_posting_on_off_and_serial_merge_identically(self):
-        points = [
-            SweepPoint("t_shm_sums", {"n": n}, seed=s)
-            for n in (8, 13)
-            for s in range(3)
-        ]
-        serial = SweepRunner(workers=0).run(points)
-        plain = SweepRunner(workers=2).run(points)
-        posted = SweepRunner(workers=2, shm_post=True).run(points)
-        assert posted == plain == serial
-
-    def test_one_segment_per_config(self, monkeypatch):
-        posts = []
-        original = shm.SharedArrays.post.__func__
-
-        def counting_post(cls, arrays):
-            posts.append(sorted(arrays))
-            return original(cls, arrays)
-
-        monkeypatch.setattr(
-            shm.SharedArrays, "post", classmethod(counting_post)
-        )
-        points = [
-            SweepPoint("t_shm_sums", {"n": n}, seed=s)
-            for n in (8, 8, 13)
-            for s in range(3)
-        ]
-        SweepRunner(workers=2, shm_post=True).run(points)
-        assert len(posts) == 2  # two distinct configs, many seeds
-
-    def test_families_without_hook_run_unposted(self):
-        register_family("t_shm_plain", _payload_echo)
-        points = [SweepPoint("t_shm_plain", {"a": 3}, seed=s) for s in range(3)]
-        results = SweepRunner(workers=2, shm_post=True).run(points)
-        assert all(r["mode"] == "local" for r in results)
-
-    def test_serial_runs_never_post(self):
-        points = [SweepPoint("t_shm_echo", {"a": 2}, seed=0)]
-        results = SweepRunner(workers=0, shm_post=True).run(points)
-        assert results[0]["mode"] == "local"
 
 
 class TestSornSimPayload:
     def test_sorn_sim_posted_equals_local(self):
-        """The real family: posted flow arrays + compiled table produce
-        the same reports and telemetry as per-worker regeneration."""
+        """The real family: worker-side regeneration of the flow arrays
+        and compiled table produces the same reports and telemetry as a
+        serial run, and no sweep posts through shared memory."""
         params = {
             "nodes": 12,
             "cliques": 3,
@@ -172,21 +29,6 @@ class TestSornSimPayload:
         }
         points = [SweepPoint("sorn_sim", params, seed=s) for s in range(3)]
         serial = SweepRunner(workers=0).run(points)
-        posted = SweepRunner(workers=2, shm_post=True).run(points)
-        assert posted == serial
-
-    def test_payload_contents(self):
-        params = {
-            "nodes": 12,
-            "cliques": 3,
-            "locality": 0.56,
-            "size_cells": 3,
-            "load": 0.4,
-            "slots": 40,
-            "flow_seed": 7,
-        }
-        arrays = _sorn_sim_shared_payload(params)
-        assert "dest_table" in arrays and "flows.flow_id" in arrays
-        assert arrays["dest_table"].dtype == np.int32
-        flows = shm.arrays_to_flows(arrays)
-        assert flows and all(f.src != f.dst for f in flows)
+        parallel = SweepRunner(workers=2).run(points)
+        assert parallel == serial
+        assert shm.posting_seen() is False

@@ -34,19 +34,14 @@ from repro.sim.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.sim.kernels import HAVE_NUMBA
 from repro.sim.tracing import TraceRecorder
 from repro.traffic import FlowSpec
 
 pytestmark = pytest.mark.durability
 
 ENGINES = ("reference", "vectorized")
-KERNEL_MODES = [
-    "numpy",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
+#: Drain tiers of the vectorized engine (see the ``drain_tier`` fixture).
+DRAIN_TIERS = ["numpy", "sequential"]
 CONFIG_VARIANTS = [
     {},
     {"per_flow_paths": True},
@@ -141,14 +136,13 @@ class TestResumeBitExact:
             session.run_segment(13)
         assert session.finish() == whole
 
-    @pytest.mark.parametrize("kernels", KERNEL_MODES)
-    def test_resume_per_kernel_mode(self, kernels, tmp_path):
+    @pytest.mark.parametrize("drain_tier", DRAIN_TIERS, indirect=True)
+    def test_resume_per_kernel_mode(self, drain_tier, tmp_path):
         flows = make_flows()
-        ck = {"kernels": kernels}
-        whole = make_sim("vectorized", ck).run(flows, 150)
+        whole = make_sim("vectorized").run(flows, 150)
         path = str(tmp_path / "run.ckpt")
-        save_at("vectorized", ck, 40, path, flows)
-        session = make_sim("vectorized", ck, rng=999).resume(path, flows)
+        save_at("vectorized", None, 40, path, flows)
+        session = make_sim("vectorized", rng=999).resume(path, flows)
         while not session.main_phase_done:
             session.run_segment(9)
         assert session.finish() == whole

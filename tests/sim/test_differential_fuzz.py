@@ -4,15 +4,13 @@ Randomizes the full configuration space the engines support — all six
 schedule/routing families (round-robin+VLB, SORN, Opera expander,
 beyond-VLB, BvN demand-aware, Cerberus-style mixed pool), fabric size,
 router (optionally wrapped in the failure-aware fallback), simulator
-knobs (including the ``kernels="numpy"/"numba"``
-axis of the fused vectorized engine), failure timelines, and workloads —
-and asserts the reference and vectorized engines produce *identical*
-reports and traces.
+knobs, failure timelines, and workloads — and asserts the reference and
+vectorized engines produce *identical* reports and traces.
 
-Lean examples sometimes drop the tracer too, and ``kernels="numba"``
-examples sometimes force the sequential kernel tier even where numba is
-absent (the plain Python build of the same kernel body), covering that
-tier on every CI image.
+Lean examples sometimes drop the tracer too, and some examples force the
+vectorized engine's sequential kernel tier
+(:func:`repro.sim.kernels.drain_plane_seq`) for every plane, so that
+tier is compared on every plane shape, not only on cascade slots.
 
 Each example also draws a ``lean`` bit.  Instrumented examples carry the
 :class:`repro.sim.invariants.InvariantChecker` plus the full shipped
@@ -69,6 +67,7 @@ from repro.sim import (
     TraceRecorder,
     standard_collectors,
 )
+from repro.sim.vectorized import VectorizedSession
 from repro.traffic import FlowSpec
 
 _HEALTH = [
@@ -236,28 +235,30 @@ def scenarios(draw):
         max_drain_slots=draw(st.sampled_from([50, 150, 300])),
         short_flow_threshold_cells=draw(st.one_of(st.none(), st.just(2))),
         check_invariants=not lean,
-        kernels=draw(st.sampled_from(["numpy", "numba"])),
     )
     # Lean examples sometimes drop the tracer too, so a run with no
-    # observer at all is compared on its report alone.  kernels="numba"
-    # examples sometimes force the sequential kernel tier even without
-    # numba installed (the plain Python build of the identical body).
+    # observer at all is compared on its report alone.  force_seq drains
+    # every vectorized plane through the sequential kernel tier.
     traced = True if not lean else draw(st.booleans())
-    force_kernels = config["kernels"] == "numba" and draw(st.booleans())
+    force_seq = draw(st.booleans())
     duration = draw(st.integers(40, 120))
     seed = draw(st.integers(0, 2**16))
     return (
         schedule, router, timeline, flows, config, duration, seed, lean,
-        traced, force_kernels,
+        traced, force_seq,
     )
+
+
+def _always_seq(self, slot, plane, srcs, dsts, dst_row):
+    """Stand-in for ``VectorizedSession._drain_plane`` that sends every
+    plane through the sequential kernel tier."""
+    return self._drain_seq(slot, plane, srcs, dsts)
 
 
 def _run(
     engine, schedule, router, timeline, flows, config, duration, seed, lean,
-    traced, force_kernels,
+    traced, force_seq,
 ):
-    import repro.sim.vectorized as vectorized_mod
-
     hub = (
         None
         if lean
@@ -266,20 +267,15 @@ def _run(
     sim = SlotSimulator(
         schedule,
         router,
-        # The reference engine ignores ``kernels``; the axis varies how
-        # the vectorized engine computes the same run.
         SimConfig(engine=engine, telemetry=hub, **config),
         rng=np.random.default_rng(seed),
         timeline=timeline,
     )
     tracer = TraceRecorder(stride=7) if traced else None
-    saved = vectorized_mod.HAVE_NUMBA
-    if force_kernels and engine == "vectorized":
-        vectorized_mod.HAVE_NUMBA = True
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        if force_seq and engine == "vectorized":
+            mp.setattr(VectorizedSession, "_drain_plane", _always_seq)
         report = sim.run(flows, duration, tracer=tracer)
-    finally:
-        vectorized_mod.HAVE_NUMBA = saved
     return report, tracer, hub
 
 
@@ -292,15 +288,15 @@ class TestDifferentialFuzz:
         every slot passing the invariant checker."""
         (
             schedule, router, timeline, flows, config, duration, seed, lean,
-            traced, force_kernels,
+            traced, force_seq,
         ) = scenario
         ref_report, ref_trace, ref_hub = _run(
             "reference", schedule, router, timeline, flows, config, duration,
-            seed, lean, traced, force_kernels,
+            seed, lean, traced, force_seq,
         )
         vec_report, vec_trace, vec_hub = _run(
             "vectorized", schedule, router, timeline, flows, config, duration,
-            seed, lean, traced, force_kernels,
+            seed, lean, traced, force_seq,
         )
         assert vec_report == ref_report
         if traced:

@@ -354,13 +354,11 @@ class TestTimelineSimulation:
         done = report.flow_completion_slots
         assert all(done[f.flow_id] == -1 for f in casualties)
 
-    @pytest.mark.parametrize("tier", ["numpy", "sequential"])
-    def test_engines_agree_across_failure_edges(self, tier, monkeypatch):
+    @pytest.mark.parametrize("drain_tier", ["numpy", "sequential"], indirect=True)
+    def test_engines_agree_across_failure_edges(self, drain_tier):
         """A fault that starts and heals mid-run masks exactly the same
         slots in both engines, in the fused walk and in the sequential
-        kernel tier (forced here even without numba: the plain Python
-        build of the same kernel body)."""
-        import repro.sim.vectorized as vectorized_mod
+        kernel tier (forced for every plane)."""
 
         n = 12
         schedule = build_sorn_schedule(n, 3, q=1)
@@ -377,14 +375,10 @@ class TestTimelineSimulation:
         tl = FailureTimeline.node_failure(2, start_slot=13, heal_slot=41)
         reports = {}
         for engine in ("reference", "vectorized"):
-            kernels = "numpy"
-            if engine == "vectorized" and tier == "sequential":
-                kernels = "numba"
-                monkeypatch.setattr(vectorized_mod, "HAVE_NUMBA", True)
             reports[engine] = SlotSimulator(
                 schedule,
                 SornRouter(schedule.layout),
-                SimConfig(engine=engine, kernels=kernels),
+                SimConfig(engine=engine),
                 rng=17,
                 timeline=tl,
             ).run(flows, 100, measure_from=50)

@@ -12,16 +12,11 @@ from repro.errors import SimulationError
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.sim import SimConfig, SlotSimulator, TraceRecorder
-from repro.sim.kernels import HAVE_NUMBA
 from repro.topology import CliqueLayout
 from repro.traffic import WEB_SEARCH, Workload, clustered_matrix, uniform_matrix
 
-KERNEL_MODES = [
-    "numpy",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
+#: Drain tiers of the vectorized engine (see the ``drain_tier`` fixture).
+DRAIN_TIERS = ["numpy", "sequential"]
 
 
 def _uniform_flows(num_nodes, seed, duration=250, load=0.4):
@@ -77,13 +72,13 @@ COMBOS = {
 }
 
 
-def _run(combo, engine, seed, duration=250, measure_from=80, kernels="numpy", **overrides):
+def _run(combo, engine, seed, duration=250, measure_from=80, **overrides):
     schedule, router, cfg, n = combo()
     flows = _uniform_flows(n, seed, duration=duration)
     sim = SlotSimulator(
         schedule,
         router,
-        SimConfig(engine=engine, kernels=kernels, **cfg, **overrides),
+        SimConfig(engine=engine, **cfg, **overrides),
         rng=np.random.default_rng(seed + 1),
     )
     tracer = TraceRecorder(stride=5)
@@ -94,13 +89,13 @@ def _run(combo, engine, seed, duration=250, measure_from=80, kernels="numpy", **
 class TestDifferentialEquality:
     @pytest.mark.parametrize("combo", sorted(COMBOS), ids=sorted(COMBOS))
     @pytest.mark.parametrize("seed", [7, 42])
-    @pytest.mark.parametrize("kernels", KERNEL_MODES)
-    def test_reports_and_traces_identical(self, combo, seed, kernels):
+    @pytest.mark.parametrize("drain_tier", DRAIN_TIERS, indirect=True)
+    def test_reports_and_traces_identical(self, combo, seed, drain_tier):
         """Same seed, same workload: the two engines must agree on the
         full report (delivered counts, FCT lists, occupancy statistics)
-        and on every sampled trace point — in every kernel mode."""
+        and on every sampled trace point — in every drain tier."""
         ref_report, ref_trace = _run(COMBOS[combo], "reference", seed)
-        vec_report, vec_trace = _run(COMBOS[combo], "vectorized", seed, kernels=kernels)
+        vec_report, vec_trace = _run(COMBOS[combo], "vectorized", seed)
         assert vec_report == ref_report
         assert vec_trace.points == ref_trace.points
         # Sanity: the runs actually exercised the fabric.
@@ -136,12 +131,6 @@ class TestEngineSelection:
     def test_default_is_reference(self):
         assert SimConfig().engine == "reference"
 
-    def test_unknown_kernels_rejected(self):
-        with pytest.raises(SimulationError):
-            SimConfig(kernels="fortran")
-
-    def test_default_kernels_is_numpy(self):
-        assert SimConfig().kernels == "numpy"
 
 
 class TestLinkedVoqState:
