@@ -206,13 +206,6 @@ class SweepRunner:
         lifecycle events (``heartbeat`` / ``hang`` / ``requeue``) are
         emitted on its ``sweep`` stream, keyed by the point's content
         hash, alongside the cache's own events.
-    schedule_cache:
-        Optional :class:`~repro.exp.schedcache.ScheduleCache`.  When
-        given, it is activated as the process-wide dest-table provider
-        for the duration of :meth:`run`, so every schedule any family
-        compiles — in this process and, on fork-start platforms
-        (Linux), in every worker process — is served from one on-disk
-        memory-mapped copy instead of being rebuilt per worker.
     """
 
     def __init__(
@@ -225,7 +218,6 @@ class SweepRunner:
         hang_timeout: Optional[float] = None,
         heartbeat_interval: float = 1.0,
         telemetry=None,
-        schedule_cache=None,
     ):
         if workers < 0:
             raise SweepError(f"workers must be >= 0, got {workers}")
@@ -245,7 +237,6 @@ class SweepRunner:
         self.hang_timeout = None if hang_timeout is None else float(hang_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.telemetry = telemetry
-        self.schedule_cache = schedule_cache
         self._journal: Optional[RunJournal] = None
 
     def _emit(self, event: str, key: str) -> None:
@@ -550,10 +541,6 @@ class SweepRunner:
             journal = RunJournal.open(run_id, points, keys)
         out: list = [None] * len(points)
         self._journal = journal
-        if self.schedule_cache is not None:
-            # Workers fork after activation (Linux pools), inheriting the
-            # provider hook — compiled tables mmap from one on-disk copy.
-            self.schedule_cache.activate()
         try:
             tasks = self._plan(points, out)
             if not tasks:
@@ -565,8 +552,6 @@ class SweepRunner:
                 self._run_parallel(tasks, out)
             return out
         finally:
-            if self.schedule_cache is not None:
-                self.schedule_cache.deactivate()
             self._journal = None
             if journal is not None:
                 journal.close()

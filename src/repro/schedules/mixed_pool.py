@@ -129,21 +129,6 @@ class MixedPoolSchedule(CircuitSchedule):
 
     # -- pool structure --------------------------------------------------------
 
-    def cache_token(self) -> dict:
-        """Pool split, the materialized static shifts, and the demand
-        pool's matching digest (rotor planes are a pure function of
-        (N, rotor count), already covered by the key envelope)."""
-        demand_token = (
-            None
-            if self._demand_schedule is None
-            else self._demand_schedule.cache_token()
-        )
-        return {
-            "counts": dict(self._counts),
-            "static_shifts": list(self._static_shifts),
-            "demand": demand_token,
-        }
-
     @property
     def pool_counts(self) -> Dict[str, int]:
         """Plane counts per pool, keyed ``static`` / ``rotor`` / ``demand``."""

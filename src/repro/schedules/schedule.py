@@ -14,7 +14,6 @@ uplinks and divides the effective cycle time by 16.
 from __future__ import annotations
 
 import abc
-import hashlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,31 +22,7 @@ from ..errors import ScheduleError
 from ..util import check_positive_int
 from .matching import Matching
 
-__all__ = ["CircuitSchedule", "ExplicitSchedule", "set_dest_table_provider"]
-
-#: Process-wide hook consulted by :meth:`CircuitSchedule.dest_table` before
-#: building a table from scratch.  A provider maps a schedule to its dense
-#: destination table — typically a memory-mapped array served by
-#: :class:`repro.exp.schedcache.ScheduleCache` — so every consumer in the
-#: process (simulator engines, routers, sweep workers) transparently shares
-#: one on-disk copy.  ``None`` means "build locally" (the default).
-_TABLE_PROVIDER = None
-
-
-def set_dest_table_provider(provider):
-    """Install *provider* as the process-wide dest-table source.
-
-    *provider* is called as ``provider(schedule)`` and must return a
-    read-only ``(period, num_planes, num_nodes)`` int32 array equal to
-    what :meth:`CircuitSchedule.dest_table` would have built (providers
-    fall back to :meth:`CircuitSchedule._build_dest_table` themselves for
-    schedules they cannot serve).  Pass ``None`` to uninstall.  Returns
-    the previously installed provider so callers can restore it.
-    """
-    global _TABLE_PROVIDER
-    previous = _TABLE_PROVIDER
-    _TABLE_PROVIDER = provider
-    return previous
+__all__ = ["CircuitSchedule", "ExplicitSchedule"]
 
 
 class CircuitSchedule(abc.ABC):
@@ -159,27 +134,9 @@ class CircuitSchedule(abc.ABC):
         consumers — the vectorized simulator engine above all — skip
         per-slot :class:`Matching` construction entirely.  The returned
         array is read-only.
-
-        When a provider is installed via :func:`set_dest_table_provider`
-        (the compiled-schedule cache), the table may come back as a
-        read-only memory map of an on-disk copy shared by every process
-        that compiles the same schedule.
         """
-        if self._dest_table is None:
-            if _TABLE_PROVIDER is not None:
-                table = _TABLE_PROVIDER(self)
-            else:
-                table = self._build_dest_table()
-            self._dest_table = table
-        return self._dest_table
-
-    def _build_dest_table(self) -> np.ndarray:
-        """Materialize the dense destination table (cold path).
-
-        The pure builder behind :meth:`dest_table`: no instance memo, no
-        provider hook — this is what the compiled-schedule cache calls on
-        a miss, and what it must reproduce byte-for-byte on a hit.
-        """
+        if self._dest_table is not None:
+            return self._dest_table
         # int32 holds any node id (N < 2**31) and halves the table:
         # ~60 MiB saved at N=4096 with the SORN period of ~3843.
         if self._planes_are_offset_copies():
@@ -207,21 +164,8 @@ class CircuitSchedule(abc.ABC):
                 ]
             )
         table.setflags(write=False)
+        self._dest_table = table
         return table
-
-    def cache_token(self) -> Optional[dict]:
-        """Canonicalizable parameters that determine :meth:`dest_table`.
-
-        The compiled-schedule cache (:class:`repro.exp.schedcache.
-        ScheduleCache`) keys on-disk tables by the SHA-256 of this token
-        plus the schedule's class name, size, period, and plane count —
-        so a token must capture *every* remaining degree of freedom of
-        the matching sequence (seeds, oversubscription ratios, demand
-        digests, ...), and two schedules with equal tokens must build
-        byte-identical tables.  ``None`` (the default) marks the schedule
-        uncacheable: consumers fall back to a local build.
-        """
-        return None
 
     def _planes_are_offset_copies(self) -> bool:
         """Whether every plane is the base matching sequence shifted by
@@ -360,17 +304,6 @@ class ExplicitSchedule(CircuitSchedule):
 
     def matching(self, slot: int) -> Matching:
         return self._slots[slot % self._period]
-
-    def cache_token(self) -> Optional[dict]:
-        """Digest of the held matchings (covers arbitrary synthesized
-        schedules — BvN output included — without enumerating their
-        construction parameters).  Hashing the destination rows costs a
-        single pass over arrays already in memory, far below the table
-        build it lets the cache skip."""
-        digest = hashlib.sha256()
-        for m in self._slots:
-            digest.update(np.ascontiguousarray(m.dst, dtype=np.int64).tobytes())
-        return {"matchings_sha256": digest.hexdigest()}
 
     def rotated(self, offset: int) -> "ExplicitSchedule":
         """The same cyclic schedule starting *offset* slots later."""

@@ -130,15 +130,6 @@ class SornSchedule(CircuitSchedule):
 
     # -- construction helpers ---------------------------------------------------
 
-    def cache_token(self) -> dict:
-        """The clique ordering matrix and the exact rational q determine
-        the whole interleaved sequence (slot kinds, family indices, and
-        every matching are derived from them in ``__init__``)."""
-        return {
-            "q": [self.q_exact.numerator, self.q_exact.denominator],
-            "order": self._order,
-        }
-
     @property
     def num_cliques(self) -> int:
         return self.layout.num_cliques

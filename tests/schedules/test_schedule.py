@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
+from repro.exp.families import FRONTIER_SYSTEMS, _frontier_fabric
 from repro.schedules import ExplicitSchedule, Matching, RoundRobinSchedule
 
 
@@ -111,6 +112,26 @@ class TestPlanes:
         upgraded = simple_schedule.with_planes(3)
         assert upgraded.num_planes == 3
         assert upgraded.matching(1) == simple_schedule.matching(1)
+
+
+class TestDestTable:
+    @pytest.mark.parametrize("system", FRONTIER_SYSTEMS)
+    def test_matches_plane_matching_on_every_frontier_fabric(self, system):
+        """The dense table equals ``plane_matching`` slot by slot on every
+        plane, for offset-copy schedules (rr_vlb, orn2d, sorn, bvn) and
+        plane-heterogeneous ones (expander rotors, mixed pools) alike;
+        it is int32, read-only, and built once per schedule."""
+        params = {"system": system, "nodes": 16, "cliques": 4, "locality": 0.56}
+        schedule, _ = _frontier_fabric(params)
+        table = schedule.dest_table()
+        assert table.shape == (schedule.period, schedule.num_planes, 16)
+        assert table.dtype == np.int32
+        assert not table.flags.writeable
+        assert schedule.dest_table() is table
+        for t in range(schedule.period):
+            for p in range(schedule.num_planes):
+                expected = schedule.plane_matching(t, p).dst
+                assert np.array_equal(table[t, p], expected), (system, t, p)
 
 
 class TestTransformations:
