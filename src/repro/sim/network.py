@@ -327,9 +327,10 @@ class LinkedVoqState:
             # finalizer is re-bound to the restored arrays below, so the
             # old triple would otherwise never be recycled).
             self._finalizer()
-        self.head = head.astype(np.int32, copy=False)
-        self.tail = tail.astype(np.int32, copy=False)
-        self.qlen = qlen.astype(np.int32, copy=False)
+        # C-contiguous: the kernels scatter through reshape(-1) views.
+        self.head = np.ascontiguousarray(head, dtype=np.int32)
+        self.tail = np.ascontiguousarray(tail, dtype=np.int32)
+        self.qlen = np.ascontiguousarray(qlen, dtype=np.int32)
         self._occupancy = int(occupancy)
         if displaced:
             self._finalizer = weakref.finalize(

@@ -288,7 +288,7 @@ class VectorizedSession(SimSession):
         self._delivered = 0
         self._injected = 0
         self._partial_flows = 0  # flows mid-injection (windowed drain criterion)
-        self._slot_pairs: List = []  # (u, v) arrays appended this slot
+        self._slot_pairs: List = []  # pair-id arrays appended this slot
         self._unfolded: List = []  # (slot, delivered cids) not yet in the ledgers
 
         # --- Path presampling -------------------------------------------
@@ -348,11 +348,15 @@ class VectorizedSession(SimSession):
             self._blk_hi = 0
             self._blk_cid = self._blk_u = self._blk_v = self._blk_lane = None
             self._arr_np = arr_np
+            # The run's cell count is known, so the cell tables (and, in
+            # per-cell mode, the one-row-per-cell route table) are sized
+            # once instead of regrowing by doubling.  A restored session
+            # holds trimmed tables and regrows them on demand.
             if not per_flow:
-                self._routes = np.full((0, 0), -1, dtype=np.int32)
-                self._rowlen = np.empty(0, dtype=np.int32)
+                self._routes = np.empty((self._blk_total, 0), dtype=np.int32)
+                self._rowlen = np.empty(self._blk_total, dtype=np.int32)
                 self._nroutes = 0
-            self._init_cell_tables()
+            self._init_cell_tables(self._blk_total)
             inj = np.where(arr_np < duration_slots, sz_np, 0)
         else:
             # Windowed: per-slot arrival/refill batches; cell tables grow
@@ -506,8 +510,7 @@ class VectorizedSession(SimSession):
                     self._blk_cid = np.arange(
                         self._blk_base + 1, self._blk_hi + 1, dtype=np.int32
                     )
-                    self._blk_u = self._routes[rows, 0]
-                    self._blk_v = self._routes[rows, 1]
+                    self._blk_u, self._blk_v = self._route_hops(rows, 0)
                     self._blk_lane = self._fresh_lane[self._rfid[span]]
             else:
                 self._inj = [int(v) for v in state["inj"]]
@@ -535,19 +538,21 @@ class VectorizedSession(SimSession):
 
     # -- cell table management ------------------------------------------------
 
-    def _init_cell_tables(self) -> None:
-        """Fresh cell tables with the dummy row 0 cell ids leave free.
+    def _init_cell_tables(self, capacity: int = 0) -> None:
+        """Fresh cell tables for *capacity* cells plus the dummy row 0
+        cell ids leave free.
 
         Cell ids are 1-based (see :mod:`repro.sim.kernels`): id ``k``
         lives at table index ``k`` and index 0 is never a real cell, so
         ``0`` is the empty sentinel in every ``head``/``tail``/``nxt``
         cursor and the cursor cubes can stay untouched zero pages.
         """
-        self._ridx = np.zeros(1, dtype=np.int32)
-        self._rhop = np.zeros(1, dtype=np.int32)
-        self._rfid = np.zeros(1, dtype=np.int32)
-        self._nxt = np.zeros(1, dtype=np.int32)
-        self._cinj = np.zeros(1, dtype=np.int32) if self._track_inj else None
+        size = capacity + 1
+        self._ridx = np.zeros(size, dtype=np.int32)
+        self._rhop = np.zeros(size, dtype=np.int32)
+        self._rfid = np.zeros(size, dtype=np.int32)
+        self._nxt = np.zeros(size, dtype=np.int32)
+        self._cinj = np.zeros(size, dtype=np.int32) if self._track_inj else None
         self._ncells = 0
 
     @staticmethod
@@ -577,21 +582,36 @@ class VectorizedSession(SimSession):
         return base
 
     def _append_routes(self, paths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Store freshly sampled route rows; returns their row indices."""
+        """Store freshly sampled route rows; returns their row indices.
+
+        Rows past a route's length hold -1; rows not yet written are
+        uninitialized (nothing reads past ``_nroutes``), so a pre-sized
+        table is only paged in as it fills."""
         count, width = paths.shape
         base = self._nroutes
         cap, cur_width = self._routes.shape
         if width > cur_width or base + count > cap:
-            newcap = max(base + count, cap * 2, 256)
+            newcap = cap if base + count <= cap else max(base + count, cap * 2, 256)
             new_width = max(width, cur_width)
-            grown = np.full((newcap, new_width), -1, dtype=np.int32)
+            grown = np.empty((newcap, new_width), dtype=np.int32)
             grown[:base, :cur_width] = self._routes[:base]
+            grown[:base, cur_width:] = -1
             self._routes = grown
             self._rowlen = self._grown(self._rowlen, newcap)
         self._routes[base : base + count, :width] = paths
+        self._routes[base : base + count, width:] = -1
         self._rowlen[base : base + count] = lengths
         self._nroutes = base + count
         return np.arange(base, base + count, dtype=np.int32)
+
+    def _route_hops(self, rows: np.ndarray, hops) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u, v)`` of hop *hops* of route rows *rows*: two 1-D takes
+        on the raveled (contiguous) route table."""
+        routes = self._routes
+        idx = rows.astype(np.intp) * routes.shape[1]
+        idx += hops
+        flat = routes.reshape(-1)
+        return flat.take(idx), flat.take(idx + 1)
 
     def _refill_block_chunk(self) -> None:
         """Presample the next block chunk (global cells [lo, hi)).
@@ -633,8 +653,7 @@ class VectorizedSession(SimSession):
         if self._cinj is not None:
             self._cinj[span] = self._arr_np[order]
         self._blk_cid = np.arange(base, base + count, dtype=np.int32)
-        self._blk_u = self._routes[rows, 0]
-        self._blk_v = self._routes[rows, 1]
+        self._blk_u, self._blk_v = self._route_hops(rows, 0)
         self._blk_lane = self._fresh_lane[order]
         self._blk_base = lo
         self._blk_hi = hi
@@ -665,19 +684,19 @@ class VectorizedSession(SimSession):
             self._cinj[span] = slot
         cids = np.arange(base, base + count, dtype=np.int32)
         state = self.network
-        pu, pv = append_cells(
-            state.head,
-            state.tail,
-            self._nxt,
-            state.qlen,
-            cids,
-            self._routes[rows_new, 0],
-            self._routes[rows_new, 1],
-            self._fresh_lane[fa],
-            state.num_lanes,
-            self.num_nodes,
+        us, vs = self._route_hops(rows_new, 0)
+        self._slot_pairs.append(
+            append_cells(
+                state.head,
+                state.tail,
+                self._nxt,
+                state.qlen,
+                cids,
+                us,
+                vs,
+                self._fresh_lane[fa],
+            )
         )
-        self._slot_pairs.append((pu, pv))
         state.credit(count)
         return count
 
@@ -728,11 +747,11 @@ class VectorizedSession(SimSession):
             )
         forwarded = popped[~delm]
         if forwarded.size:
-            rows = self._ridx[forwarded]
-            hops = self._rhop[forwarded]  # already advanced by the kernel
-            self._slot_pairs.append(
-                (self._routes[rows, hops], self._routes[rows, hops + 1])
+            # Hop cursors were already advanced by the kernel.
+            fu, fv = self._route_hops(
+                self._ridx[forwarded], self._rhop[forwarded]
             )
+            self._slot_pairs.append(fu.astype(np.int64) * self.num_nodes + fv)
         if prof is not None:
             self._prof_add("repair", t0)
         return popped[delm]
@@ -754,22 +773,26 @@ class VectorizedSession(SimSession):
         """
         if srcs.shape[0] == 0:
             return _EMPTY32
-        live = self.network.qlen[srcs, dsts] > 0
+        pids = srcs * self.num_nodes + dsts
+        live = self.network.qlen.reshape(-1).take(pids) > 0
         if live.all():
-            return self._drain_vec(slot, plane, srcs, dsts, dst_row, srcs, dsts)
+            return self._drain_vec(
+                slot, plane, srcs, dsts, pids, dst_row, srcs, dsts
+            )
         lsrcs = srcs[live]
         if lsrcs.shape[0] == 0:
             return _EMPTY32
         return self._drain_vec(
-            slot, plane, lsrcs, dsts[live], dst_row, srcs, dsts
+            slot, plane, lsrcs, dsts[live], pids[live], dst_row, srcs, dsts
         )
 
     def _drain_vec(
-        self, slot: int, plane: int, srcs, dsts, dst_row, full_srcs, full_dsts
+        self, slot: int, plane: int, srcs, dsts, pids, dst_row, full_srcs, full_dsts
     ) -> np.ndarray:
         """Optimistic walk + commit over (a live subset of) one plane.
 
-        ``srcs``/``dsts`` are the circuits actually walked;
+        ``srcs``/``dsts`` are the circuits actually walked and ``pids``
+        their pair ids ``u*N + v``;
         ``full_srcs``/``full_dsts`` are the plane's complete matching,
         needed whenever a cascade hit forces a replay (sequential
         fallback or an unfiltered re-walk).  The walk itself never
@@ -780,13 +803,12 @@ class VectorizedSession(SimSession):
         state = self.network
         head = state.head
         nxt = self._nxt
-        routes = self._routes
         rowlen = self._rowlen
         ridx = self._ridx
         rhop = self._rhop
         budget = self._budget
         num_circuits = srcs.shape[0]
-        cur = walk_candidates(head, nxt, srcs, dsts, budget, self._cand, self._ar)
+        cur, cix = walk_candidates(head, nxt, pids, budget, self._cand, self._ar)
         sub = self._cand[:budget, :num_circuits]
         flat = sub.T.ravel()  # circuit-major: pop order of the plane
         valid = flat > 0
@@ -803,9 +825,7 @@ class VectorizedSession(SimSession):
         extra = None
         if fw.size:
             fh = hops[fwm] + 1
-            frow = rows[fwm]
-            fu = routes[frow, fh]
-            fv = routes[frow, fh + 1]
+            fu, fv = self._route_hops(rows[fwm], fh)
             hit = dst_row[fu] == fv
             if np.any(hit):
                 # A forwarded cell lands in a VOQ this same plane still
@@ -846,34 +866,31 @@ class VectorizedSession(SimSession):
                     fwm = ~delm
                     fw = popped[fwm]
                     fh = hops[fwm] + 1
-                    frow = rows[fwm]
-                    fu = routes[frow, fh]
-                    fv = routes[frow, fh + 1]
+                    fu, fv = self._route_hops(rows[fwm], fh)
                     if prof is not None:
                         t = self._prof_add("repair", t)
         got = (sub > 0).sum(axis=0)
         if prof is not None and extra is None:
             t = self._prof_add("drain", t)
-        commit_pops(head, state.tail, state.qlen, srcs, dsts, cur, got)
+        commit_pops(head, state.tail, state.qlen, pids, cix, cur, got)
         if fw.size:
             rhop[fw] = fh
         if extra is None:
             if self._emit and popped.size:
                 self._emit_events(slot, plane, srcs, dsts, popped, delm, got)
             if fw.size:
-                pu, pv = append_cells(
-                    head,
-                    state.tail,
-                    nxt,
-                    state.qlen,
-                    fw,
-                    fu,
-                    fv,
-                    self._fwd_lane[self._rfid[fw]],
-                    state.num_lanes,
-                    self.num_nodes,
+                self._slot_pairs.append(
+                    append_cells(
+                        head,
+                        state.tail,
+                        nxt,
+                        state.qlen,
+                        fw,
+                        fu,
+                        fv,
+                        self._fwd_lane[self._rfid[fw]],
+                    )
                 )
-                self._slot_pairs.append((pu, pv))
             if prof is not None:
                 self._prof_add("commit", t)
             return popped[delm]
@@ -906,19 +923,18 @@ class VectorizedSession(SimSession):
             app_u = np.concatenate([app_u, e_u])[order]
             app_v = np.concatenate([app_v, e_v])[order]
         if app_cids.size:
-            pu, pv = append_cells(
-                head,
-                state.tail,
-                nxt,
-                state.qlen,
-                app_cids,
-                app_u,
-                app_v,
-                self._fwd_lane[self._rfid[app_cids]],
-                state.num_lanes,
-                self.num_nodes,
+            self._slot_pairs.append(
+                append_cells(
+                    head,
+                    state.tail,
+                    nxt,
+                    state.qlen,
+                    app_cids,
+                    app_u,
+                    app_v,
+                    self._fwd_lane[self._rfid[app_cids]],
+                )
             )
-            self._slot_pairs.append((pu, pv))
         deliv_cids = popped[delm]
         if extra["deliveries"]:
             d_pos = np.asarray([e[0] for e in extra["deliveries"]], dtype=np.float64)
@@ -1195,21 +1211,19 @@ class VectorizedSession(SimSession):
                         count = stop_at - cursor
                         b = cursor - self._blk_base
                         e = stop_at - self._blk_base
-                        state = network
-                        pu, pv = append_cells(
-                            state.head,
-                            state.tail,
-                            self._nxt,
-                            state.qlen,
-                            self._blk_cid[b:e],
-                            self._blk_u[b:e],
-                            self._blk_v[b:e],
-                            self._blk_lane[b:e],
-                            state.num_lanes,
-                            self.num_nodes,
+                        slot_pairs.append(
+                            append_cells(
+                                network.head,
+                                network.tail,
+                                self._nxt,
+                                qlen,
+                                self._blk_cid[b:e],
+                                self._blk_u[b:e],
+                                self._blk_v[b:e],
+                                self._blk_lane[b:e],
+                            )
                         )
-                        slot_pairs.append((pu, pv))
-                        state.credit(count)
+                        network.credit(count)
                         injected_running += count
                         cursor = stop_at
                 else:
@@ -1290,13 +1304,13 @@ class VectorizedSession(SimSession):
             if slot_pairs:
                 # Only VOQs that received cells this slot can set a new
                 # max; gather those instead of scanning the (N, N) grid.
-                if len(slot_pairs) == 1:
-                    gu, gv = slot_pairs[0]
-                else:
-                    gu = np.concatenate([p[0] for p in slot_pairs])
-                    gv = np.concatenate([p[1] for p in slot_pairs])
-                if gu.size:
-                    voq_now = int(qlen[gu, gv].max())
+                gp = (
+                    slot_pairs[0]
+                    if len(slot_pairs) == 1
+                    else np.concatenate(slot_pairs)
+                )
+                if gp.size:
+                    voq_now = int(qlen.reshape(-1).take(gp).max())
                     if voq_now > max_voq:
                         max_voq = voq_now
                 slot_pairs.clear()
